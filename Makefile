@@ -20,12 +20,15 @@ ci:
 	go build ./...
 	go test ./...
 	go test -race ./internal/offload/... ./internal/train ./internal/parallel ./internal/nn ./internal/freqdomain ./internal/netfaults
+	cd perfbench && go test .
 
 # Micro-benchmarks of the parallel hot paths; scripts/bench.sh wraps
-# this and records results into BENCH_parallel.json.
+# this and records results into BENCH_parallel.json. The conv step runs
+# at 1 and 2 cores so its 2-core scaling shows side by side.
 .PHONY: bench
 bench:
 	go test -run '^$$' -bench 'BenchmarkGemm|BenchmarkQuantizeBlocks|BenchmarkReconstructBlocks|BenchmarkRoundtripZVC|BenchmarkCompressJPEGACT|BenchmarkTrainStep' -benchmem ./...
+	go test -run '^$$' -bench 'BenchmarkConvStep$$' -cpu 1,2 -benchmem ./internal/nn
 
 # Sync-vs-async offload wall-clock over the simulated DMA channel;
 # writes BENCH_offload.json at the repo root and fails if the async

@@ -6,6 +6,7 @@ import (
 	"jpegact/internal/compress"
 	"jpegact/internal/data"
 	"jpegact/internal/frame"
+	"jpegact/internal/nn"
 	"jpegact/internal/offload/codec"
 	"jpegact/internal/quant"
 	"jpegact/internal/tensor"
@@ -134,5 +135,43 @@ func TestDecodeCoefficientsAllocs(t *testing.T) {
 	if allocs > maxAllocs {
 		t.Fatalf("DecodeCoefficients+Release allocates %.0f objects/op, budget %d",
 			allocs, maxAllocs)
+	}
+}
+
+// raceEnabled is set in race builds, where sync.Pool drops a random
+// share of its puts.
+var raceEnabled bool
+
+// TestConvStepAllocs guards one Conv2D forward+backward, the unit the
+// training step repeats per conv layer. The layer forks once per pass
+// over the batch and runs each element's im2col, GEMMs and col2im on
+// one goroutine with pooled scratch, so its allocations are the output
+// tensors, the ∇x tensor and a few closures and goroutines per pass —
+// a constant per call, never per batch element or per GEMM. One budget
+// holds at 1 and 2 workers: it does not depend on GOMAXPROCS.
+func TestConvStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random, so the count is not the layer's")
+	}
+	r := tensor.NewRNG(4)
+	c := nn.NewConv2D("c", 10, 10, 3, nn.ConvOpts{Pad: 1}, r)
+	x := data.ActivationTensor(r, 8, 10, 16, 16, 0.5, 1.0)
+	grad := tensor.New(8, 10, 16, 16)
+	grad.FillNormal(r, 0, 1)
+	step := func() {
+		c.Forward(&nn.ActRef{Name: "x", T: x}, true)
+		c.Backward(grad)
+	}
+	for _, w := range []int{1, 2} {
+		prev := SetParallelWorkers(w)
+		step() // warm the scratch pools
+		allocs := testing.AllocsPerRun(10, step)
+		SetParallelWorkers(prev)
+		const maxAllocs = 48 // per-element loop: 55 at 1 worker; now 10 and 19
+		if allocs > maxAllocs {
+			t.Fatalf("workers=%d: conv forward+backward allocates %.0f objects/op, budget %d",
+				w, allocs, maxAllocs)
+		}
+		t.Logf("workers=%d: %.0f allocs/op", w, allocs)
 	}
 }

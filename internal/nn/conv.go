@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"jpegact/internal/compress"
 	"jpegact/internal/dct"
@@ -27,8 +28,6 @@ type Conv2D struct {
 	in          *ActRef
 	inShape     tensor.Shape // shape of the saved input (survives offload nil-ing T)
 	outShape    tensor.Shape
-	colBuf      []float32
-	dcolBuf     []float32
 	freqGF      []float32 // transposed grad coefficients (HW × OutC)
 	freqWG      []float32 // ∇Wᵀ accumulator (InC × OutC)
 }
@@ -113,16 +112,18 @@ func (c *Conv2D) Forward(in *ActRef, train bool) *ActRef {
 
 	k2 := c.InC * c.Kernel * c.Kernel
 	spatial := ho * wo
-	if cap(c.colBuf) < k2*spatial {
-		c.colBuf = make([]float32, k2*spatial)
-	}
-	cols := c.colBuf[:k2*spatial]
-	for n := 0; n < x.Shape.N; n++ {
-		c.im2col(x, n, cols)
-		// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial)
-		dst := out.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-		Gemm(c.OutC, k2, spatial, c.Weight.W.Data, cols, dst)
-	}
+	outN := c.OutC * spatial
+	// Batch elements are independent: each chunk lowers and multiplies
+	// its own elements on one goroutine, into disjoint out planes.
+	parallel.For(x.Shape.N, parallel.Grain(outN*k2, gemmMinWork), func(lo, hi int) {
+		cols := packPool.get(k2 * spatial)
+		for n := lo; n < hi; n++ {
+			c.im2col(x, n, *cols)
+			// out[n] (OutC × spatial) = W (OutC × k2) · cols (k2 × spatial)
+			gemm(c.OutC, k2, spatial, c.Weight.W.Data, *cols, out.Data[n*outN:(n+1)*outN], false)
+		}
+		packPool.put(cols)
+	})
 	if c.Bias != nil {
 		for n := 0; n < out.Shape.N; n++ {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -168,29 +169,50 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	ho, wo := c.outShape.H, c.outShape.W
 	spatial := ho * wo
 	k2 := c.InC * c.Kernel * c.Kernel
+	outN := c.OutC * spatial
+	wsz := c.OutC * k2
+	batch := x.Shape.N
 
 	dx := tensor.NewLike(x)
-	// The Winograd forward skips the im2col buffer; backward always needs it.
-	if cap(c.colBuf) < k2*spatial {
-		c.colBuf = make([]float32, k2*spatial)
-	}
-	cols := c.colBuf[:k2*spatial]
-	if cap(c.dcolBuf) < k2*spatial {
-		c.dcolBuf = make([]float32, k2*spatial)
-	}
-	dcols := c.dcolBuf[:k2*spatial]
-	for n := 0; n < x.Shape.N; n++ {
-		gout := grad.Data[n*c.OutC*spatial : (n+1)*c.OutC*spatial]
-		// ∇W += ∇y[n] · colsᵀ  (OutC×spatial · spatial×k2)
-		c.im2col(x, n, cols)
-		GemmTB(c.OutC, spatial, k2, gout, cols, c.Weight.Grad.Data)
-		// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial)
-		for i := range dcols {
-			dcols[i] = 0
+	partials := partialPool.get(batch * wsz)
+	// Wᵀ (k2 × OutC), transposed once for every element's ∇cols GEMM:
+	// the row-major A GemmTA would build per call.
+	wT := packPool.get(wsz)
+	packAT(c.OutC, k2, c.Weight.W.Data, *wT)
+	// One chunk per run of batch elements, as in Forward. Each element's
+	// ∇W term lands in its own partial; dx planes are disjoint.
+	parallel.For(batch, parallel.Grain(2*outN*k2, gemmMinWork), func(lo, hi int) {
+		cols := packPool.get(k2 * spatial)
+		for n := lo; n < hi; n++ {
+			gout := grad.Data[n*outN : (n+1)*outN]
+			// ∇W[n] = ∇y[n] · colsᵀ  (OutC×spatial · spatial×k2), stored:
+			// −0 is the identity of float addition (−0 + v = v for every
+			// v, +0 included), so adding into −0 writes each dot product
+			// exactly. A +0 fill would turn a −0 dot product into +0.
+			c.im2col(x, n, *cols)
+			pn := (*partials)[n*wsz : (n+1)*wsz]
+			for i := range pn {
+				pn[i] = negZero
+			}
+			gemmTBRows(0, c.OutC, spatial, k2, gout, *cols, pn)
+			// ∇cols = Wᵀ · ∇y[n]  (k2×OutC · OutC×spatial), into the
+			// cols buffer, which ∇W no longer needs.
+			clear(*cols)
+			gemm(k2, c.OutC, spatial, *wT, gout, *cols, false)
+			c.col2im(*cols, dx, n)
 		}
-		GemmTA(k2, c.OutC, spatial, c.Weight.W.Data, gout, dcols)
-		c.col2im(dcols, dx, n)
+		packPool.put(cols)
+	})
+	packPool.put(wT)
+	// ∇W += ∇W[0] + … + ∇W[N-1], per element in ascending n: the float
+	// sequence of accumulating every element's dot product in turn.
+	wg := c.Weight.Grad.Data
+	for n := 0; n < batch; n++ {
+		for i, v := range (*partials)[n*wsz : (n+1)*wsz] {
+			wg[i] += v
+		}
 	}
+	partialPool.put(partials)
 	if c.Bias != nil {
 		for n := 0; n < grad.Shape.N; n++ {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -263,6 +285,14 @@ func (c *Conv2D) backwardFreq(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// negZero is IEEE −0, the identity of float32 addition.
+var negZero = float32(math.Copysign(0, -1))
+
+// partialPool holds Backward's per-batch-element ∇W partials. They are
+// batch× a weight gradient, so they get their own high-water mark
+// rather than growing every buffer in packPool to their size.
+var partialPool scratchPool
+
 // colRange returns the half-open output range [lo, hi) whose input
 // coordinate ox·stride + k - pad falls inside [0, extent), clamped to
 // [0, out). Everything outside the range is pad.
@@ -287,96 +317,90 @@ func colRange(out, extent, stride, k, pad int) (int, int) {
 	return lo, hi
 }
 
-// im2col lowers batch element n of x into cols (k2 × ho*wo). Input
-// channels are distributed over the worker pool: channel ic fills the
-// contiguous cols slab [ic·K²·spatial, (ic+1)·K²·spatial), so workers
-// never share an output index. The pad test is hoisted out of the inner
-// loop: per output row only the in-bounds ox range is gathered (a copy
-// for stride 1), the fringe is zero-filled.
+// im2col lowers batch element n of x into cols (k2 × ho*wo): channel ic
+// fills the contiguous cols slab [ic·K²·spatial, (ic+1)·K²·spatial). The
+// pad test is hoisted out of the inner loop: per output row only the
+// in-bounds ox range is gathered (a copy for stride 1), the fringe is
+// zero-filled. It runs on the caller's goroutine; the layer parallelizes
+// over batch elements.
 func (c *Conv2D) im2col(x *tensor.Tensor, n int, cols []float32) {
 	ho, wo := c.outDims(x.Shape)
 	h, w := x.Shape.H, x.Shape.W
 	perC := c.Kernel * c.Kernel * ho * wo
-	parallel.For(c.InC, parallel.Grain(perC, 1<<14), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			idx := ic * perC
-			chBase := (n*x.Shape.C + ic) * h * w
-			for ky := 0; ky < c.Kernel; ky++ {
-				for kx := 0; kx < c.Kernel; kx++ {
-					oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
-					for oy := 0; oy < ho; oy++ {
-						iy := oy*c.Stride + ky - c.Pad
-						dst := cols[idx : idx+wo]
-						idx += wo
-						if iy < 0 || iy >= h {
-							for i := range dst {
-								dst[i] = 0
-							}
-							continue
-						}
-						for i := 0; i < oxLo; i++ {
+	for ic := 0; ic < c.InC; ic++ {
+		idx := ic * perC
+		chBase := (n*x.Shape.C + ic) * h * w
+		for ky := 0; ky < c.Kernel; ky++ {
+			for kx := 0; kx < c.Kernel; kx++ {
+				oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
+				for oy := 0; oy < ho; oy++ {
+					iy := oy*c.Stride + ky - c.Pad
+					dst := cols[idx : idx+wo]
+					idx += wo
+					if iy < 0 || iy >= h {
+						for i := range dst {
 							dst[i] = 0
 						}
-						src := x.Data[chBase+iy*w:]
-						if c.Stride == 1 {
-							off := kx - c.Pad
-							copy(dst[oxLo:oxHi], src[oxLo+off:])
-						} else {
-							ix := oxLo*c.Stride + kx - c.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								dst[ox] = src[ix]
-								ix += c.Stride
-							}
+						continue
+					}
+					for i := 0; i < oxLo; i++ {
+						dst[i] = 0
+					}
+					src := x.Data[chBase+iy*w:]
+					if c.Stride == 1 {
+						off := kx - c.Pad
+						copy(dst[oxLo:oxHi], src[oxLo+off:])
+					} else {
+						ix := oxLo*c.Stride + kx - c.Pad
+						for ox := oxLo; ox < oxHi; ox++ {
+							dst[ox] = src[ix]
+							ix += c.Stride
 						}
-						for i := oxHi; i < wo; i++ {
-							dst[i] = 0
-						}
+					}
+					for i := oxHi; i < wo; i++ {
+						dst[i] = 0
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
-// col2im scatters dcols back into batch element n of dx (accumulating).
-// Parallel over input channels: channel ic only accumulates into its own
-// dx plane, and reads its own dcols slab, so ranges stay disjoint and
-// the per-element accumulation order matches the serial loop. Pad
-// handling is hoisted like im2col's; out-of-range columns are skipped.
+// col2im scatters dcols back into batch element n of dx (accumulating),
+// on the caller's goroutine like im2col. Pad handling is hoisted the
+// same way; out-of-range columns are skipped.
 func (c *Conv2D) col2im(dcols []float32, dx *tensor.Tensor, n int) {
 	ho, wo := c.outDims(dx.Shape)
 	h, w := dx.Shape.H, dx.Shape.W
 	perC := c.Kernel * c.Kernel * ho * wo
-	parallel.For(c.InC, parallel.Grain(perC, 1<<14), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			idx := ic * perC
-			chBase := (n*dx.Shape.C + ic) * h * w
-			for ky := 0; ky < c.Kernel; ky++ {
-				for kx := 0; kx < c.Kernel; kx++ {
-					oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
-					for oy := 0; oy < ho; oy++ {
-						iy := oy*c.Stride + ky - c.Pad
-						row := dcols[idx : idx+wo]
-						idx += wo
-						if iy < 0 || iy >= h {
-							continue
+	for ic := 0; ic < c.InC; ic++ {
+		idx := ic * perC
+		chBase := (n*dx.Shape.C + ic) * h * w
+		for ky := 0; ky < c.Kernel; ky++ {
+			for kx := 0; kx < c.Kernel; kx++ {
+				oxLo, oxHi := colRange(wo, w, c.Stride, kx, c.Pad)
+				for oy := 0; oy < ho; oy++ {
+					iy := oy*c.Stride + ky - c.Pad
+					row := dcols[idx : idx+wo]
+					idx += wo
+					if iy < 0 || iy >= h {
+						continue
+					}
+					dst := dx.Data[chBase+iy*w:]
+					if c.Stride == 1 {
+						off := kx - c.Pad
+						for ox := oxLo; ox < oxHi; ox++ {
+							dst[ox+off] += row[ox]
 						}
-						dst := dx.Data[chBase+iy*w:]
-						if c.Stride == 1 {
-							off := kx - c.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								dst[ox+off] += row[ox]
-							}
-						} else {
-							ix := oxLo*c.Stride + kx - c.Pad
-							for ox := oxLo; ox < oxHi; ox++ {
-								dst[ix] += row[ox]
-								ix += c.Stride
-							}
+					} else {
+						ix := oxLo*c.Stride + kx - c.Pad
+						for ox := oxLo; ox < oxHi; ox++ {
+							dst[ix] += row[ox]
+							ix += c.Stride
 						}
 					}
 				}
 			}
 		}
-	})
+	}
 }

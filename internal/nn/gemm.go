@@ -45,36 +45,41 @@ const gemmNR = 4
 // loses the whole point of the tile.
 const gemmMR = 2
 
-// packPool recycles packed-B buffers across calls (one buffer per
-// in-flight GEMM; workers share the read-only packed panels). New
+// scratchPool recycles float32 scratch buffers across calls. New
 // buffers are allocated at the high-water mark of requested sizes:
-// GEMM calls of different shapes interleave, and a popped buffer that
-// is too small for the current call would otherwise be discarded and
+// calls of different shapes interleave, and a popped buffer that is too
+// small for the current call would otherwise be discarded and
 // re-allocated forever. At the high-water capacity every pooled buffer
 // serves every request, so steady state allocates nothing.
-var (
-	packPool sync.Pool
-	packMax  atomic.Int64
-)
+type scratchPool struct {
+	pool sync.Pool
+	max  atomic.Int64
+}
 
-func getPack(n int) *[]float32 {
-	if p, ok := packPool.Get().(*[]float32); ok && cap(*p) >= n {
+func (s *scratchPool) get(n int) *[]float32 {
+	if p, ok := s.pool.Get().(*[]float32); ok && cap(*p) >= n {
 		*p = (*p)[:n]
 		return p
 	}
-	hw := int(packMax.Load())
+	hw := int(s.max.Load())
 	for hw < n {
-		if packMax.CompareAndSwap(int64(hw), int64(n)) {
+		if s.max.CompareAndSwap(int64(hw), int64(n)) {
 			hw = n
 			break
 		}
-		hw = int(packMax.Load())
+		hw = int(s.max.Load())
 	}
 	buf := make([]float32, n, hw)
 	return &buf
 }
 
-func putPack(p *[]float32) { packPool.Put(p) }
+func (s *scratchPool) put(p *[]float32) { s.pool.Put(p) }
+
+// packPool holds the packed-B and transposed-A buffers of in-flight
+// GEMMs (workers share the read-only packed panels), and the conv
+// layers' im2col scratch and transposed weights, which are of the same
+// size class.
+var packPool scratchPool
 
 // packB lays B (row-major K×N) out as ceil(n/4) panels of K rows × 4
 // columns, k-major within a panel; edge panels are zero-padded. Packing
@@ -248,62 +253,89 @@ func scanDense(m, k int, a []float32, dense []bool) {
 	}
 }
 
+// gemmRowGrain is the row grain of a row-parallel GEMM whose rows each
+// carry perRow multiply-adds: enough rows for gemmMinWork, rounded up
+// to whole gemmMR-row tiles, so only the matrix's own last row can fall
+// to the 1-row kernels.
+func gemmRowGrain(perRow int) int {
+	g := parallel.Grain(perRow, gemmMinWork)
+	return (g + gemmMR - 1) / gemmMR * gemmMR
+}
+
 // gemmPackedBody runs the packed register-tiled kernels for C += A·B
-// with row-major A and pre-packed B panels, picking the dense or guarded
-// micro-kernel per row pair.
-func gemmPackedBody(m, k, n, np int, a, pk, c []float32, dense []bool) {
-	parallel.For(m, parallel.Grain(k*n, gemmMinWork), func(lo, hi int) {
-		for p := 0; p < np; p++ {
-			j0 := p * gemmNR
-			pb := pk[p*k*gemmNR : (p+1)*k*gemmNR]
-			if n-j0 < gemmNR {
-				gemmEdgePanel(k, n, n-j0, lo, hi, j0, a, pb, c)
-				continue
-			}
-			i := lo
-			for ; i+gemmMR <= hi; i += gemmMR {
-				a0 := a[i*k : (i+1)*k]
-				a1 := a[(i+1)*k : (i+2)*k]
-				c0 := c[i*n+j0 : i*n+j0+gemmNR]
-				c1 := c[(i+1)*n+j0 : (i+1)*n+j0+gemmNR]
-				if dense[i] && dense[i+1] {
-					gemmMicroDense2x4(k, a0, a1, pb, c0, c1)
-				} else {
-					gemmMicro2x4(k, a0, a1, pb, c0, c1)
-				}
-			}
-			if i < hi {
-				a0 := a[i*k : (i+1)*k]
-				c0 := c[i*n+j0 : i*n+j0+gemmNR]
-				if dense[i] {
-					gemmMicroDense1x4(k, a0, pb, c0)
-				} else {
-					gemmMicro1x4(k, a0, pb, c0)
-				}
+// with row-major A and pre-packed B panels: split into whole-tile row
+// chunks over the worker pool when fork is set, inline otherwise.
+func gemmPackedBody(m, k, n, np int, a, pk, c []float32, dense []bool, fork bool) {
+	if !fork {
+		gemmPackedRows(0, m, k, n, np, a, pk, c, dense)
+		return
+	}
+	parallel.For(m, gemmRowGrain(k*n), func(lo, hi int) {
+		gemmPackedRows(lo, hi, k, n, np, a, pk, c, dense)
+	})
+}
+
+// gemmPackedRows computes rows [lo, hi) of C, picking the dense or
+// guarded micro-kernel per row pair.
+func gemmPackedRows(lo, hi, k, n, np int, a, pk, c []float32, dense []bool) {
+	for p := 0; p < np; p++ {
+		j0 := p * gemmNR
+		pb := pk[p*k*gemmNR : (p+1)*k*gemmNR]
+		if n-j0 < gemmNR {
+			gemmEdgePanel(k, n, n-j0, lo, hi, j0, a, pb, c)
+			continue
+		}
+		i := lo
+		for ; i+gemmMR <= hi; i += gemmMR {
+			a0 := a[i*k : (i+1)*k]
+			a1 := a[(i+1)*k : (i+2)*k]
+			c0 := c[i*n+j0 : i*n+j0+gemmNR]
+			c1 := c[(i+1)*n+j0 : (i+1)*n+j0+gemmNR]
+			if dense[i] && dense[i+1] {
+				gemmMicroDense2x4(k, a0, a1, pb, c0, c1)
+			} else {
+				gemmMicro2x4(k, a0, a1, pb, c0, c1)
 			}
 		}
-	})
+		if i < hi {
+			a0 := a[i*k : (i+1)*k]
+			c0 := c[i*n+j0 : i*n+j0+gemmNR]
+			if dense[i] {
+				gemmMicroDense1x4(k, a0, pb, c0)
+			} else {
+				gemmMicro1x4(k, a0, pb, c0)
+			}
+		}
+	}
 }
 
 // Gemm computes C += A·B for row-major matrices: A is M×K, B is K×N,
 // C is M×N. Large shapes run the packed register-tiled kernels; small
-// ones fall back to the (bit-identical) saxpy reference.
-func Gemm(m, k, n int, a, b, c []float32) {
+// ones fall back to the (bit-identical) saxpy reference. Rows of C are
+// spread over the worker pool.
+func Gemm(m, k, n int, a, b, c []float32) { gemm(m, k, n, a, b, c, true) }
+
+// gemm is Gemm, run inline on the calling goroutine unless fork is set.
+func gemm(m, k, n int, a, b, c []float32, fork bool) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic("nn: gemm size mismatch")
 	}
 	if m < gemmMR || n < gemmNR || k < 8 {
-		gemmSaxpy(m, k, n, a, b, c)
+		if fork {
+			gemmSaxpy(m, k, n, a, b, c)
+		} else {
+			gemmSaxpyRows(0, m, k, n, a, b, c)
+		}
 		return
 	}
 	np := (n + gemmNR - 1) / gemmNR
-	packed := getPack(np * k * gemmNR)
+	packed := packPool.get(np * k * gemmNR)
 	packB(k, n, b, *packed)
 	dense := getDense(m)
 	scanDense(m, k, a, *dense)
-	gemmPackedBody(m, k, n, np, a, *packed, c, *dense)
+	gemmPackedBody(m, k, n, np, a, *packed, c, *dense, fork)
 	putDense(dense)
-	putPack(packed)
+	packPool.put(packed)
 }
 
 // packAT transposes A (stored K×M) into row-major M×K, in 32×32 tiles so
@@ -345,16 +377,16 @@ func GemmTA(m, k, n int, a, b, c []float32) {
 		return
 	}
 	np := (n + gemmNR - 1) / gemmNR
-	packed := getPack(np * k * gemmNR)
+	packed := packPool.get(np * k * gemmNR)
 	packB(k, n, b, *packed)
-	atp := getPack(m * k)
+	atp := packPool.get(m * k)
 	packAT(k, m, a, *atp)
 	dense := getDense(m)
 	scanDense(m, k, *atp, *dense)
-	gemmPackedBody(m, k, n, np, *atp, *packed, c, *dense)
+	gemmPackedBody(m, k, n, np, *atp, *packed, c, *dense, true)
 	putDense(dense)
-	putPack(atp)
-	putPack(packed)
+	packPool.put(atp)
+	packPool.put(packed)
 }
 
 // gemmTBMicro2x4 computes the 2×4 tile of A·Bᵀ dot products: eight
@@ -397,36 +429,41 @@ func gemmTBDot(k int, arow, brow []float32) float32 {
 // GemmTB computes C += A·Bᵀ where A is M×K, B is N×K (so Bᵀ is K×N),
 // C is M×N. Both operands are row-contiguous in k, so no packing is
 // needed; the 2×4 dot tile reuses every load where the one-dot-at-a-time
-// reference cannot.
+// reference cannot. Rows of C are spread over the worker pool.
 func GemmTB(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		panic("nn: gemmTB size mismatch")
 	}
-	parallel.For(m, parallel.Grain(k*n, gemmMinWork), func(lo, hi int) {
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			a0 := a[i*k : (i+1)*k]
-			a1 := a[(i+1)*k : (i+2)*k]
-			c0 := c[i*n : (i+1)*n]
-			c1 := c[(i+1)*n : (i+2)*n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				gemmTBMicro2x4(k, a0, a1,
-					b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k],
-					c0[j:j+4], c1[j:j+4])
-			}
-			for ; j < n; j++ {
-				brow := b[j*k : (j+1)*k]
-				c0[j] += gemmTBDot(k, a0, brow)
-				c1[j] += gemmTBDot(k, a1, brow)
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			crow := c[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				crow[j] += gemmTBDot(k, arow, b[j*k:(j+1)*k])
-			}
-		}
+	parallel.For(m, gemmRowGrain(k*n), func(lo, hi int) {
+		gemmTBRows(lo, hi, k, n, a, b, c)
 	})
+}
+
+// gemmTBRows computes rows [lo, hi) of GemmTB's C += A·Bᵀ.
+func gemmTBRows(lo, hi, k, n int, a, b, c []float32) {
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		a0 := a[i*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k]
+		c0 := c[i*n : (i+1)*n]
+		c1 := c[(i+1)*n : (i+2)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			gemmTBMicro2x4(k, a0, a1,
+				b[j*k:(j+1)*k], b[(j+1)*k:(j+2)*k], b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k],
+				c0[j:j+4], c1[j:j+4])
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			c0[j] += gemmTBDot(k, a0, brow)
+			c1[j] += gemmTBDot(k, a1, brow)
+		}
+	}
+	for ; i < hi; i++ {
+		arow := a[i*k : (i+1)*k]
+		crow := c[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			crow[j] += gemmTBDot(k, arow, b[j*k:(j+1)*k])
+		}
+	}
 }

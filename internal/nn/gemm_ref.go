@@ -15,21 +15,26 @@ import "jpegact/internal/parallel"
 // bit-identical to the single-threaded kernel at any worker count.
 func gemmSaxpy(m, k, n int, a, b, c []float32) {
 	parallel.For(m, parallel.Grain(k*n, gemmMinWork), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			crow := c[i*n : (i+1)*n]
-			for kk := 0; kk < k; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				brow := b[kk*n : (kk+1)*n]
-				for j := range brow {
-					crow[j] += av * brow[j]
-				}
+		gemmSaxpyRows(lo, hi, k, n, a, b, c)
+	})
+}
+
+// gemmSaxpyRows computes rows [lo, hi) of gemmSaxpy's C += A·B.
+func gemmSaxpyRows(lo, hi, k, n int, a, b, c []float32) {
+	for i := lo; i < hi; i++ {
+		arow := a[i*k : (i+1)*k]
+		crow := c[i*n : (i+1)*n]
+		for kk := 0; kk < k; kk++ {
+			av := arow[kk]
+			if av == 0 {
+				continue
+			}
+			brow := b[kk*n : (kk+1)*n]
+			for j := range brow {
+				crow[j] += av * brow[j]
 			}
 		}
-	})
+	}
 }
 
 // gemmTASaxpy computes C += Aᵀ·B where A is stored K×M. Workers own
